@@ -110,8 +110,8 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test -p smiler-core --test durability
 
     # Request tracing: exactly one schema-valid terminal per admitted
-    # request, bitwise-invisible to predictions, batch-id linking, and the
-    # status surface (windowed tails, rung mix, SLO burn, model quality).
+    # request, bitwise-invisible to predictions, and the status surface
+    # (windowed tails, rung mix, SLO burn, model quality).
     echo "==> cargo test --test tracing (request traces + status surface)"
     cargo test -p smiler-core --test tracing
 
@@ -139,7 +139,7 @@ if [[ "$QUICK" == "1" ]]; then
     cargo test -p smiler-cluster --test cluster
 
     # The load-generating bench entry points must at least compile.
-    echo "==> cargo build -p smiler-bench (bench-serve compile check)"
+    echo "==> cargo build -p smiler-bench (expt compile check)"
     cargo build -p smiler-bench --bin expt
 else
     echo "==> cargo build --workspace --release"

@@ -26,7 +26,6 @@ const USAGE: &str =
      \x20      expt bench-step [--smoke] [--backend sim|native] [--out <path>]\n\
      \x20                                                  per-step latency snapshot\n\
      \x20      expt bench-kernels [--smoke] [--out <path>] per-kernel roofline snapshot\n\
-     \x20      expt bench-serve [--smoke] [--out <path>]  serving-throughput snapshot\n\
      \x20      expt bench-net [--smoke] [--out <path>]    open-loop wire-serving snapshot\n\
      \x20      expt bench-ingest [--smoke] [--out <path>] WAL append + recovery snapshot\n\
      \x20      expt bench-obs [--smoke] [--enforce-budget] [--out <path>]\n\
@@ -149,37 +148,6 @@ fn main() {
             );
         }
         println!("bench-kernels: wrote {}", path.display());
-        return;
-    }
-    // bench-serve snapshots the sharded serving frontend: micro-batched vs
-    // per-request mode on the same trace, with simulated launch counts.
-    if ids.iter().any(|i| i == "bench-serve") {
-        let scale = if smoke {
-            smiler_bench::servebench::ServeBenchScale::smoke()
-        } else {
-            smiler_bench::servebench::ServeBenchScale::default_scale()
-        };
-        let report = smiler_bench::servebench::run(scale);
-        let json = serde_json::to_string_pretty(&report).expect("report serialises");
-        let path = out_path.unwrap_or_else(|| PathBuf::from("results/BENCH_serve.json"));
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(&path, format!("{json}\n")).unwrap_or_else(|e| {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!(
-            "bench-serve: batched {:.1} req/s ({} launches, mean batch {:.2}) vs per-request \
-             {:.1} req/s ({} launches) -> {:.2}x launch amortisation -> {}",
-            report.batched.load.throughput_rps,
-            report.batched.kernel_launches,
-            report.batched.mean_batch_size,
-            report.per_request.load.throughput_rps,
-            report.per_request.kernel_launches,
-            report.launch_amortisation,
-            path.display()
-        );
         return;
     }
     // bench-net snapshots the wire frontend: open-loop throughput, tail

@@ -26,7 +26,6 @@ pub mod kernelbench;
 pub mod netbench;
 pub mod obsbench;
 pub mod report;
-pub mod servebench;
 pub mod stepbench;
 
 /// How large to make each experiment's dataset.

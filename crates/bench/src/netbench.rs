@@ -123,13 +123,8 @@ fn build_fleet(device: &Arc<Device>, scale: &NetBenchScale) -> Vec<SensorPredict
 pub fn run(scale: NetBenchScale) -> NetBenchReport {
     let device = Arc::new(Device::default_gpu());
     let fleet = build_fleet(&device, &scale);
-    let serve_config = ServeConfig {
-        shards: scale.shards,
-        queue_capacity: 64,
-        max_batch: 16,
-        batch_window: Duration::from_millis(2),
-        ..ServeConfig::default()
-    };
+    let serve_config =
+        ServeConfig { shards: scale.shards, queue_capacity: 64, ..ServeConfig::default() };
     let server = SmilerServer::start(device, fleet, serve_config);
     let net = NetServer::bind("127.0.0.1:0", server.handle(), NetConfig::default())
         .expect("loopback bind");

@@ -18,7 +18,6 @@ use smiler_gpu::Device;
 use smiler_obs::trace::{self, validate_trace_line, TraceConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Overhead the tracing path is allowed to add, in percent.
 pub const OVERHEAD_BUDGET_PCT: f64 = 5.0;
@@ -193,13 +192,7 @@ fn build_fleet(device: &Arc<Device>, sensors: usize, days: usize) -> Vec<SensorP
 fn run_once(scale: &ObsBenchScale) -> LoadReport {
     let device = Arc::new(Device::default_gpu());
     let fleet = build_fleet(&device, scale.sensors, scale.days);
-    let config = ServeConfig {
-        shards: scale.shards,
-        queue_capacity: 64,
-        max_batch: 16,
-        batch_window: Duration::from_millis(2),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: scale.shards, queue_capacity: 64, ..ServeConfig::default() };
     let server = SmilerServer::start(device, fleet, config);
     let handle = server.handle();
     let gen = LoadGen {
@@ -264,9 +257,8 @@ fn trace_path_ns_per_record(path: &PathBuf) -> f64 {
         let mut t = trace::RequestTrace::begin(i as usize % 16, 1, 0);
         t.mark("queue");
         t.mark("dequeue");
-        t.set_batch(u64::from(i), 4);
-        t.mark("batch_search.start");
-        t.mark("batch_search.done");
+        t.mark("search.start");
+        t.mark("search.done");
         t.mark("predict.done");
         t.finish_served("full_ensemble", false);
         trace::submit(t);
@@ -334,13 +326,7 @@ fn predictions_bitwise_identical(scale: &ObsBenchScale) -> bool {
         }
         let device = Arc::new(Device::default_gpu());
         let fleet = build_fleet(&device, sensors, scale.days);
-        let config = ServeConfig {
-            shards: 1,
-            queue_capacity: 16,
-            max_batch: 1, // sequential, deterministic serving order
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig { shards: 1, queue_capacity: 16, ..ServeConfig::default() };
         let server = SmilerServer::start(device, fleet, config);
         let handle = server.handle();
         let mut bits = Vec::new();
@@ -438,7 +424,7 @@ mod tests {
         let per_run = (scale.clients * scale.requests_per_client) as u64;
         assert_eq!(report.trace.runs, scale.repeats);
         // `>=`, not `==`: the trace sink is process-global, and sibling
-        // bench tests that serve traffic (e.g. servebench's smoke) may run
+        // bench tests that serve traffic (e.g. netbench's smoke) may run
         // concurrently and land extra terminals in our sink. Their records
         // are still schema-valid; strict completeness is asserted by the
         // single-purpose `expt bench-obs` process in CI instead.

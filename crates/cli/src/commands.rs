@@ -76,7 +76,7 @@ USAGE:
   smiler generate --dataset road|mall|net [--days 14] [--seed 7]
   smiler serve --shards <N> [--qps <rate>] [--sensors 8] [--clients 4]
                [--requests 64] [--horizon 1] [--deadline-ms <ms>]
-               [--max-batch 16] [--queue 64] [--predictor gp|ar]
+               [--queue 64] [--predictor gp|ar]
                [--dataset road|mall|net] [--days 2] [--seed 7]
                [--data-dir <dir>] [--flush always|every-<n>|interval-<ms>]
                [--trace-requests-out <path>] [--trace-sample <n>]
@@ -101,10 +101,8 @@ column). Forecasts are printed in the input's units.
 LOAD SERVING (serve):
   Partitions a synthetic sensor fleet across --shards worker threads and
   drives it with closed-loop clients (optionally paced to an aggregate
-  --qps). Concurrently queued forecasts on a shard are micro-batched into
-  one fleet search — one simulated GPU launch per phase serves many
-  sensors. A full shard queue sheds requests with a typed Overloaded
-  error; --max-batch 1 disables batching for comparison.
+  --qps). Each shard serves its queue one request at a time. A full shard
+  queue sheds requests with a typed Overloaded error.
 
 NETWORK SERVING (serve --listen):
   --listen <addr>        put the smiler-net TCP frontend on <addr> (e.g.
@@ -190,7 +188,7 @@ CLUSTERING (cluster):
 
 REQUEST TRACING & STATUS (serve):
   --trace-requests-out <path>  write one JSON line per finished request
-                         (trace id, shard, batch id, rung, degradation
+                         (trace id, shard, rung, degradation
                          reason, queue/total latency, event timeline).
                          Tail-sampled: slow, degraded, shed, or faulted
                          requests are always kept.
@@ -480,7 +478,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let clients: usize = args.get_or("clients", 4)?;
     let requests: usize = args.get_or("requests", 64)?;
     let horizon: usize = args.get_or("horizon", 1)?;
-    let max_batch: usize = args.get_or("max-batch", 16)?;
     let queue: usize = args.get_or("queue", 64)?;
     let days: usize = args.get_or("days", 2)?;
     let seed: u64 = args.get_or("seed", 7)?;
@@ -606,7 +603,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let serve_config = ServeConfig {
         shards,
         queue_capacity: queue,
-        max_batch,
         slo_target: std::time::Duration::from_millis(slo_ms),
         ..ServeConfig::default()
     };
@@ -693,11 +689,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
 
     let mut out = String::new();
     out.push_str(&durability_note);
-    let _ = writeln!(
-        out,
-        "served {} sensors across {shards} shards (queue {queue}, max batch {max_batch})",
-        sensors
-    );
+    let _ = writeln!(out, "served {} sensors across {shards} shards (queue {queue})", sensors);
     match &outcome {
         ServeOutcome::Local(report) => {
             let _ = writeln!(
@@ -745,13 +737,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "micro-batching: {} batches, mean size {:.2}, {} timeouts",
-        stats.batches,
-        stats.mean_batch_size(),
-        stats.timeouts
-    );
+    let _ = writeln!(out, "timeouts: {}", stats.timeouts);
     let _ = writeln!(
         out,
         "device: {} kernel launches, {} blocks",
@@ -1470,7 +1456,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_reports_throughput_and_batching() {
+    fn serve_reports_throughput_and_launches() {
         let s = run(&args(&[
             "serve",
             "--shards",
@@ -1488,7 +1474,7 @@ mod tests {
         assert!(s.contains("2 shards"), "{s}");
         assert!(s.contains("12 issued"), "{s}");
         assert!(s.contains("throughput"), "{s}");
-        assert!(s.contains("micro-batching"), "{s}");
+        assert!(s.contains("timeouts"), "{s}");
         assert!(s.contains("kernel launches"), "{s}");
     }
 

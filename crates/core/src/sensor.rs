@@ -399,12 +399,6 @@ impl SensorPredictor {
         self.cache = Some((len, out));
     }
 
-    /// Whether the cached search already matches the current series length
-    /// (i.e. the next predict will not search again).
-    pub(crate) fn has_current_search(&self) -> bool {
-        matches!(&self.cache, Some((at, _)) if *at == self.index.series().len())
-    }
-
     /// Run (or reuse) this step's suffix kNN search.
     fn try_ensure_search(&mut self) -> Result<SearchOutput, SearchError> {
         let len = self.index.series().len();

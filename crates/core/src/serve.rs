@@ -1,11 +1,10 @@
-//! Sharded serving frontend with request micro-batching.
+//! Sharded serving frontend.
 //!
 //! The library's fleet APIs ([`crate::SmilerSystem`]) are synchronous: one
-//! caller drives every sensor in lockstep. A deployment serving heavy
+//! caller drives every sensor in lockstep, and batching lives there — one
+//! fleet search per step covers every sensor. A deployment serving heavy
 //! traffic looks different — many concurrent clients each asking about one
-//! sensor — and that shape is exactly where the fleet-batched search
-//! ([`smiler_index::try_fleet_search`]) pays off, *if* something gathers
-//! concurrent requests back into batches. This module is that something:
+//! sensor — and this module serves that shape:
 //!
 //! * the fleet is **partitioned across N shard workers** (sensor `s` lives
 //!   on shard `s % N`), each owning its sensors outright — no locks on the
@@ -15,10 +14,8 @@
 //!   the caller sheds to [`DegradationLevel::LastValue`] locally rather
 //!   than blocking) and queue pressure below the shed point maps onto the
 //!   degradation ladder via [`DegradationLevel::for_queue_pressure`];
-//! * a worker **micro-batches** forecasts queued concurrently on its
-//!   shard: it collects up to `max_batch` requests inside a short batch
-//!   window and runs ONE fleet search for all their sensors — one
-//!   simulated GPU launch per phase serves many sensors' suffix queries;
+//! * a worker serves **one request at a time**, in queue order: a forecast
+//!   predicts off its sensor's own search, an observation advances it;
 //! * per-request **deadlines propagate** into the worker's
 //!   [`RequestPolicy`]: the budget remaining after queueing is what the
 //!   ladder checkpoints see, so a request that waited too long degrades
@@ -29,16 +26,16 @@
 //! * shutdown **drains**: queued requests complete, then workers exit;
 //!   late requests get a typed [`ServeError::ShuttingDown`].
 //!
-//! Observability (`serve.*`): per-shard queue-depth gauges, a batch-size
-//! histogram, shed/timeout counters, per-batch spans and end-to-end
-//! request latency. On top of those process-global aggregates the server
-//! keeps **request-level accountability**:
+//! Observability (`serve.*`): per-shard queue-depth gauges, shed/timeout
+//! counters and end-to-end request latency. On top of those
+//! process-global aggregates the server keeps **request-level
+//! accountability**:
 //!
 //! * when a trace sink is installed ([`smiler_obs::trace`]), admission
 //!   allocates a [`RequestTrace`] that rides the queue with the job; the
-//!   worker marks dequeue / batch / search / predict milestones, the
-//!   ladder annotates *why* a rung answered, and exactly one terminal
-//!   record per admitted request reaches the sink (tail-sampled);
+//!   worker marks dequeue / search / predict milestones, the ladder
+//!   annotates *why* a rung answered, and exactly one terminal record per
+//!   admitted request reaches the sink (tail-sampled);
 //! * always-on windowed telemetry — tail latency overall and per rung,
 //!   SLO error-budget burn, WAL-append latency, per-sensor health and
 //!   model quality — surfaces through [`ServeHandle::status_report`].
@@ -52,10 +49,9 @@ use crate::predictor::QualitySnapshot;
 use crate::regime::RegimeSnapshot;
 use crate::sensor::SensorPredictor;
 use crate::system::{panic_message, SensorFault, SensorHealth};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use smiler_gpu::Device;
-use smiler_index::{try_fleet_search, SearchOutput, SmilerIndex};
 use smiler_obs::trace::RequestTrace;
 use smiler_obs::{SloReport, SloTracker, TailQuantiles, WindowedHistogram};
 use smiler_store::SharedStore;
@@ -78,12 +74,6 @@ pub struct ServeConfig {
     /// Bounded queue capacity per shard; a full queue sheds load with
     /// [`ServeError::Overloaded`] instead of blocking.
     pub queue_capacity: usize,
-    /// Most forecasts one micro-batch may serve with a single fleet
-    /// search. `1` disables batching (per-request serving).
-    pub max_batch: usize,
-    /// How long a worker waits for more concurrent requests before closing
-    /// a micro-batch smaller than `max_batch`. Zero closes immediately.
-    pub batch_window: Duration,
     /// Base policy for every request; per-request deadlines override
     /// `policy.deadline` with the budget remaining after queueing, and
     /// queue pressure can only push `policy.entry_level` further down the
@@ -102,8 +92,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_capacity: 64,
-            max_batch: 16,
-            batch_window: Duration::from_micros(500),
             policy: RequestPolicy::default(),
             slo_target: Duration::from_millis(50),
             slo_budget: 0.01,
@@ -233,8 +221,6 @@ struct ServeStats {
     timeouts: AtomicU64,
     faults: AtomicU64,
     observed: AtomicU64,
-    batches: AtomicU64,
-    batched_forecasts: AtomicU64,
     not_primary: AtomicU64,
 }
 
@@ -251,21 +237,20 @@ pub struct ServeStatsSnapshot {
     pub faults: u64,
     /// Observations absorbed.
     pub observed: u64,
-    /// Micro-batches executed.
-    pub batches: u64,
-    /// Forecasts served through micro-batches (Σ batch sizes).
-    pub batched_forecasts: u64,
     /// Writes shed because this node serves in the follower role.
     pub not_primary: u64,
 }
 
 impl ServeStatsSnapshot {
-    /// Mean micro-batch size — the launch-amortisation factor.
+    /// Forecasts a worker serves per dequeue: 1.0 once any forecast has
+    /// been served, 0.0 before. Shards serve one request at a time, so
+    /// this carries no information; it is kept only for the wire
+    /// benchmark, which reports it as `serve.batch_mean`.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
+        if self.served == 0 {
             0.0
         } else {
-            self.batched_forecasts as f64 / self.batches as f64
+            1.0
         }
     }
 }
@@ -278,8 +263,6 @@ impl ServeStats {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             faults: self.faults.load(Ordering::Relaxed),
             observed: self.observed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_forecasts: self.batched_forecasts.load(Ordering::Relaxed),
             not_primary: self.not_primary.load(Ordering::Relaxed),
         }
     }
@@ -517,14 +500,13 @@ impl StatusReport {
             .join(" ");
         let quarantined = self.sensors.iter().filter(|s| s.quarantined).count();
         let mut line = format!(
-            "smiler up {:.1}s | q[{}] | served {} shed {} fault {} obs {} | batch {:.1} | p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms p999 {:.2}ms | slo {:.0}ms burn {:.2}",
+            "smiler up {:.1}s | q[{}] | served {} shed {} fault {} obs {} | p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms p999 {:.2}ms | slo {:.0}ms burn {:.2}",
             self.uptime_seconds,
             depths,
             self.stats.served,
             self.stats.shed,
             self.stats.faults,
             self.stats.observed,
-            self.stats.mean_batch_size(),
             ms(self.latency.p50),
             ms(self.latency.p95),
             ms(self.latency.p99),
@@ -890,9 +872,11 @@ pub struct SmilerServer {
 impl SmilerServer {
     /// Partition `sensors` across shard workers and start serving. Sensor
     /// ids are their positions in `sensors`; sensor `s` lands on shard
-    /// `s % shards`.
-    pub fn start(device: Arc<Device>, sensors: Vec<SensorPredictor>, config: ServeConfig) -> Self {
-        Self::start_inner(device, sensors, config, None)
+    /// `s % shards`. Each sensor launches on the device it was built
+    /// with, so the server itself never touches `_device`; the parameter
+    /// stays for existing callers.
+    pub fn start(_device: Arc<Device>, sensors: Vec<SensorPredictor>, config: ServeConfig) -> Self {
+        Self::start_inner(sensors, config, None)
     }
 
     /// Like [`SmilerServer::start`], with a durable store attached: every
@@ -900,16 +884,15 @@ impl SmilerServer {
     /// advances, and [`SmilerServer::shutdown`] checkpoints the drained
     /// fleet so a later `serve --data-dir` restart resumes warm.
     pub fn start_with_store(
-        device: Arc<Device>,
+        _device: Arc<Device>,
         sensors: Vec<SensorPredictor>,
         config: ServeConfig,
         store: SharedStore,
     ) -> Self {
-        Self::start_inner(device, sensors, config, Some(store))
+        Self::start_inner(sensors, config, Some(store))
     }
 
     fn start_inner(
-        device: Arc<Device>,
         sensors: Vec<SensorPredictor>,
         config: ServeConfig,
         store: Option<SharedStore>,
@@ -934,7 +917,6 @@ impl SmilerServer {
             let worker = ShardWorker {
                 shard,
                 shards,
-                device: Arc::clone(&device),
                 health: vec![SensorHealth::Healthy; part.len()],
                 sensors: part,
                 config,
@@ -1052,7 +1034,6 @@ impl SmilerServer {
 struct ShardWorker {
     shard: usize,
     shards: usize,
-    device: Arc<Device>,
     sensors: Vec<SensorPredictor>,
     health: Vec<SensorHealth>,
     config: ServeConfig,
@@ -1065,50 +1046,17 @@ struct ShardWorker {
     drained: Sender<(Vec<SensorPredictor>, Vec<SensorHealth>)>,
 }
 
-/// What [`ShardWorker::collect_batch`] found after the forecast run ended.
-enum BatchTail {
-    /// Queue empty (or window closed) — keep serving.
-    Continue,
-    /// A non-forecast message interrupted the run; handle it next.
-    /// Boxed: a stashed message is rare, the happy-path variants stay
-    /// small.
-    Stashed(Box<ShardMsg>),
-    /// Shutdown was queued behind the batch; drain and exit.
-    Drain,
-}
-
 impl ShardWorker {
     fn run(mut self) {
-        loop {
-            // Park until work arrives; all handles dropped also ends the
-            // shard (nothing can ever arrive again).
-            let msg = match self.rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            };
+        // Park until work arrives; all handles dropped also ends the shard
+        // (nothing can ever arrive again).
+        while let Ok(msg) = self.rx.recv() {
             match msg {
+                ShardMsg::Forecast(job) => self.serve_forecast(job),
+                ShardMsg::Observe(job) => self.serve_observe(job),
                 ShardMsg::Shutdown => {
                     self.drain();
                     break;
-                }
-                ShardMsg::Observe(job) => self.serve_observe(job),
-                ShardMsg::Forecast(first) => {
-                    let (batch, tail) = self.collect_batch(first);
-                    self.serve_batch(batch);
-                    match tail {
-                        BatchTail::Continue => {}
-                        BatchTail::Stashed(msg) => match *msg {
-                            ShardMsg::Observe(job) => self.serve_observe(job),
-                            _ => {
-                                self.drain();
-                                break;
-                            }
-                        },
-                        BatchTail::Drain => {
-                            self.drain();
-                            break;
-                        }
-                    }
                 }
             }
         }
@@ -1117,144 +1065,26 @@ impl ShardWorker {
         let _ = self.drained.try_send((self.sensors, self.health));
     }
 
-    /// Gather a micro-batch: consecutive forecasts already queued, topped
-    /// up by waiting out the batch window for stragglers. An observation
-    /// or shutdown marker ends the run (order across request kinds is
-    /// preserved per shard).
-    fn collect_batch(&self, first: ForecastJob) -> (Vec<ForecastJob>, BatchTail) {
-        let mut batch = vec![first];
-        if self.config.max_batch <= 1 {
-            return (batch, BatchTail::Continue);
-        }
-        let window_closes = Instant::now() + self.config.batch_window;
-        while batch.len() < self.config.max_batch {
-            match self.rx.try_recv() {
-                Ok(ShardMsg::Forecast(job)) => batch.push(job),
-                Ok(ShardMsg::Shutdown) => return (batch, BatchTail::Drain),
-                Ok(msg) => return (batch, BatchTail::Stashed(Box::new(msg))),
-                Err(TryRecvError::Disconnected) => return (batch, BatchTail::Continue),
-                Err(TryRecvError::Empty) => {
-                    // Saturating: the window may already have closed by the
-                    // time we re-check (zero or shrunken `batch_window`,
-                    // scheduler preemption) — a plain `window_closes - now`
-                    // subtraction would panic on that underflow.
-                    let remaining = window_closes.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return (batch, BatchTail::Continue);
-                    }
-                    match self.rx.recv_timeout(remaining) {
-                        Ok(ShardMsg::Forecast(job)) => batch.push(job),
-                        Ok(ShardMsg::Shutdown) => return (batch, BatchTail::Drain),
-                        Ok(msg) => return (batch, BatchTail::Stashed(Box::new(msg))),
-                        Err(RecvTimeoutError::Timeout) => return (batch, BatchTail::Continue),
-                        Err(RecvTimeoutError::Disconnected) => return (batch, BatchTail::Continue),
-                    }
-                }
-            }
-        }
-        (batch, BatchTail::Continue)
-    }
-
-    /// Serve one micro-batch: a single fleet search covers every distinct
-    /// healthy sensor in the batch that lacks a current cached search, then
-    /// each request predicts off the installed result.
-    fn serve_batch(&mut self, mut batch: Vec<ForecastJob>) {
+    /// Serve one forecast behind the per-sensor panic boundary. Exactly
+    /// one terminal trace record leaves here per job, whatever path the
+    /// request takes (served at any rung, typed fault, quarantine, panic,
+    /// or unknown sensor).
+    ///
+    /// The request's entry rung follows the queue depth it leaves behind.
+    fn serve_forecast(&mut self, job: ForecastJob) {
+        let ForecastJob { sensor: sensor_id, h, deadline, enqueued, reply, mut trace } = job;
         let depth = self.rx.len();
         let pressure = DegradationLevel::for_queue_pressure(depth, self.config.queue_capacity);
-        let _span = smiler_obs::span("serve.batch");
         if smiler_obs::enabled() {
             smiler_obs::gauge_set(
                 "serve.queue_depth",
                 &format!("shard={}", self.shard),
                 depth as f64,
             );
-            smiler_obs::observe("serve.batch_size", "", batch.len() as f64);
         }
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.batched_forecasts.fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-        // Stamp member traces with the dequeue milestone and the batch id
-        // that links them to the single fleet-search launch below.
-        if batch.iter().any(|j| j.trace.is_some()) {
-            let batch_id = smiler_obs::trace::next_batch_id();
-            let size = batch.len();
-            for job in &mut batch {
-                if let Some(trace) = &mut job.trace {
-                    trace.mark("dequeue");
-                    trace.set_batch(batch_id, size);
-                }
-            }
+        if let Some(trace) = &mut trace {
+            trace.mark("dequeue");
         }
-
-        if batch.len() > 1 {
-            for job in &mut batch {
-                if let Some(trace) = &mut job.trace {
-                    trace.mark("batch_search.start");
-                }
-            }
-            self.batch_search(&batch);
-            for job in &mut batch {
-                if let Some(trace) = &mut job.trace {
-                    trace.mark("batch_search.done");
-                }
-            }
-        }
-        for job in batch {
-            self.serve_forecast(job, pressure);
-        }
-    }
-
-    /// The amortised search: one [`try_fleet_search`] call for the batch's
-    /// distinct, healthy, search-stale sensors. An error slot is simply
-    /// not installed — that sensor's request re-searches (and degrades)
-    /// through its own `try_predict_with` path. A panic inside the fleet
-    /// launch falls back the same way; the per-request boundary below is
-    /// where quarantine happens.
-    fn batch_search(&mut self, batch: &[ForecastJob]) {
-        let mut locals: Vec<usize> = batch.iter().filter_map(|j| self.local_of(j.sensor)).collect();
-        locals.sort_unstable();
-        locals.dedup();
-        locals.retain(|&l| {
-            self.health[l] == SensorHealth::Healthy && !self.sensors[l].has_current_search()
-        });
-        if locals.len() < 2 {
-            return;
-        }
-        let max_ends: Vec<usize> =
-            locals.iter().map(|&l| self.sensors[l].search_max_end()).collect();
-        let slots = {
-            let mut refs: Vec<&mut SmilerIndex> = Vec::with_capacity(locals.len());
-            let mut remaining = &mut self.sensors[..];
-            let mut offset = 0usize;
-            for &l in &locals {
-                let (_, rest) = remaining.split_at_mut(l - offset);
-                let (target, rest) = rest.split_at_mut(1);
-                if let Some(sensor) = target.first_mut() {
-                    refs.push(sensor.index_mut());
-                }
-                remaining = rest;
-                offset = l + 1;
-            }
-            let device = &self.device;
-            panic::catch_unwind(AssertUnwindSafe(|| try_fleet_search(device, &mut refs, &max_ends)))
-        };
-        let slots: Vec<Result<SearchOutput, smiler_index::SearchError>> = match slots {
-            Ok(slots) => slots,
-            Err(_) => return,
-        };
-        for (&l, slot) in locals.iter().zip(slots) {
-            if let Ok(out) = slot {
-                self.sensors[l].install_search(out);
-            }
-        }
-    }
-
-    /// Serve one forecast behind the per-sensor panic boundary. Exactly
-    /// one terminal trace record leaves here per job, whatever path the
-    /// request takes (served at any rung, typed fault, quarantine, panic,
-    /// or unknown sensor).
-    fn serve_forecast(&mut self, job: ForecastJob, pressure: DegradationLevel) {
-        let ForecastJob { sensor: sensor_id, h, deadline, enqueued, reply, mut trace } = job;
         let now = Instant::now();
         let mut policy = self.config.policy;
         policy.entry_level = policy.entry_level.at_least(pressure);
@@ -1411,7 +1241,7 @@ impl ShardWorker {
     fn drain(&mut self) {
         loop {
             match self.rx.try_recv() {
-                Ok(ShardMsg::Forecast(job)) => self.serve_batch(vec![job]),
+                Ok(ShardMsg::Forecast(job)) => self.serve_forecast(job),
                 Ok(ShardMsg::Observe(job)) => self.serve_observe(job),
                 Ok(ShardMsg::Shutdown) => {}
                 Err(_) => break,

@@ -327,8 +327,8 @@ impl Device {
 
     /// Cumulative blocks across all launches since the last reset. Together
     /// with [`Device::kernel_launches`] this gives the mean grid width — the
-    /// figure of merit for batched serving, where micro-batching should grow
-    /// grids rather than multiply launches.
+    /// figure of merit for the fleet-batched search of a step, which should
+    /// grow grids rather than multiply launches.
     pub fn blocks_launched(&self) -> u64 {
         self.clock.lock().blocks_launched
     }

@@ -21,13 +21,12 @@
 //!
 //! The admission path calls [`RequestTrace::begin`] and attaches the
 //! trace to the queued job; the shard worker marks timeline events as the
-//! request moves through dequeue → batch coalescing → fleet search →
-//! prediction, sets exactly one terminal outcome, and hands the trace to
-//! [`submit`]. Code deep inside the predictor (the degradation ladder)
-//! reaches the trace of the request it is serving through a thread-local
-//! installed by the worker ([`set_current`] / [`take_current`]), which
-//! survives `catch_unwind` so a panicking prediction still yields its
-//! terminal record.
+//! request moves through dequeue → search → prediction, sets exactly one
+//! terminal outcome, and hands the trace to [`submit`]. Code deep inside
+//! the predictor (the degradation ladder) reaches the trace of the request
+//! it is serving through a thread-local installed by the worker
+//! ([`set_current`] / [`take_current`]), which survives `catch_unwind` so a
+//! panicking prediction still yields its terminal record.
 //!
 //! # Sampling
 //!
@@ -37,17 +36,17 @@
 //! kept; only fast, healthy, full-ensemble responses are thinned to
 //! 1-in-N ([`TraceConfig::sample_every`]).
 
-use crate::export::ContentDoc;
 use crate::stamp;
 use parking_lot::Mutex;
 use serde::Content;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Schema version stamped into every trace record.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// Memory-sink retention bound; lines beyond it are dropped and counted
 /// as write errors.
@@ -55,19 +54,12 @@ const MEMORY_SINK_CAPACITY: usize = 1_048_576;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Whether a trace sink is installed. One relaxed atomic load; gate any
 /// per-request trace work on this.
 #[inline(always)]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Allocate a fresh micro-batch id (used by shard workers to link member
-/// traces of one coalesced batch to its single fleet-search launch).
-pub fn next_batch_id() -> u64 {
-    NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// One timeline event: a static label plus microseconds since the trace
@@ -89,8 +81,6 @@ pub struct RequestTrace {
     shard: u64,
     started: Instant,
     events: Vec<TraceEvent>,
-    batch_id: Option<u64>,
-    batch_size: u64,
     outcome: Option<&'static str>,
     rung: Option<&'static str>,
     reason: Option<&'static str>,
@@ -110,8 +100,6 @@ impl RequestTrace {
             shard: shard as u64,
             started: Instant::now(),
             events: Vec::with_capacity(16),
-            batch_id: None,
-            batch_size: 0,
             outcome: None,
             rung: None,
             reason: None,
@@ -131,12 +119,6 @@ impl RequestTrace {
     pub fn mark(&mut self, label: &'static str) {
         let at_us = self.started.elapsed().as_micros() as u64;
         self.events.push(TraceEvent { label, at_us });
-    }
-
-    /// Link this trace to the micro-batch it was served in.
-    pub fn set_batch(&mut self, batch_id: u64, batch_size: usize) {
-        self.batch_id = Some(batch_id);
-        self.batch_size = batch_size as u64;
     }
 
     /// Record why the request left the full-ensemble rung (first reason
@@ -187,44 +169,69 @@ impl RequestTrace {
         self.events.iter().find(|e| e.label == "dequeue").map_or(0, |e| e.at_us)
     }
 
+    /// Render the record as one compact JSON line, written straight into
+    /// one buffer: this runs once per kept request, so it builds no
+    /// intermediate document.
     fn render(&self, total_us: u64) -> String {
-        let events = Content::Seq(
-            self.events
-                .iter()
-                .map(|e| {
-                    Content::Map(vec![
-                        ("l".to_string(), Content::Str(e.label.to_string())),
-                        ("us".to_string(), Content::U64(e.at_us)),
-                    ])
-                })
-                .collect(),
+        let mut out = String::with_capacity(320 + 24 * self.events.len());
+        let _ = write!(
+            out,
+            "{{\"type\":\"request_trace\",\"schema\":{},\"seq\":{},\"t_wall_ms\":{},\
+             \"t_mono_s\":{:?},\"trace_id\":{},\"sensor\":{},\"horizon\":{},\"shard\":{}",
+            TRACE_SCHEMA_VERSION,
+            stamp::next_export_seq(),
+            stamp::wall_clock_ms(),
+            stamp::mono_seconds(),
+            self.id,
+            self.sensor,
+            self.horizon,
+            self.shard,
         );
-        let opt_u64 = |v: Option<u64>| v.map_or(Content::Null, Content::U64);
-        let opt_str =
-            |v: Option<&'static str>| v.map_or(Content::Null, |s| Content::Str(s.to_string()));
-        let entries = vec![
-            ("type".to_string(), Content::Str("request_trace".to_string())),
-            ("schema".to_string(), Content::U64(TRACE_SCHEMA_VERSION)),
-            ("seq".to_string(), Content::U64(stamp::next_export_seq())),
-            ("t_wall_ms".to_string(), Content::U64(stamp::wall_clock_ms())),
-            ("t_mono_s".to_string(), Content::F64(stamp::mono_seconds())),
-            ("trace_id".to_string(), Content::U64(self.id)),
-            ("sensor".to_string(), Content::U64(self.sensor)),
-            ("horizon".to_string(), Content::U64(self.horizon)),
-            ("shard".to_string(), Content::U64(self.shard)),
-            ("batch_id".to_string(), opt_u64(self.batch_id)),
-            ("batch_size".to_string(), Content::U64(self.batch_size)),
-            ("outcome".to_string(), opt_str(Some(self.outcome.unwrap_or("abandoned")))),
-            ("rung".to_string(), opt_str(self.rung)),
-            ("reason".to_string(), opt_str(self.reason)),
-            ("deadline_missed".to_string(), Content::Bool(self.deadline_missed)),
-            ("aborted".to_string(), Content::Bool(self.aborted)),
-            ("queue_us".to_string(), Content::U64(self.queue_us())),
-            ("total_us".to_string(), Content::U64(total_us)),
-            ("events".to_string(), events),
-        ];
-        serde_json::to_string(&ContentDoc(Content::Map(entries))).unwrap_or_default()
+        out.push_str(",\"outcome\":");
+        push_json_str(&mut out, Some(self.outcome.unwrap_or("abandoned")));
+        out.push_str(",\"rung\":");
+        push_json_str(&mut out, self.rung);
+        out.push_str(",\"reason\":");
+        push_json_str(&mut out, self.reason);
+        let _ = write!(
+            out,
+            ",\"deadline_missed\":{},\"aborted\":{},\"queue_us\":{},\"total_us\":{},\"events\":[",
+            self.deadline_missed,
+            self.aborted,
+            self.queue_us(),
+            total_us,
+        );
+        for (i, e) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"l\":");
+            push_json_str(&mut out, Some(e.label));
+            let _ = write!(out, ",\"us\":{}}}", e.at_us);
+        }
+        out.push_str("]}");
+        out
     }
+}
+
+/// Append `value` as a JSON string literal, or `null` when absent.
+fn push_json_str(out: &mut String, value: Option<&str>) {
+    let Some(value) = value else {
+        out.push_str("null");
+        return;
+    };
+    out.push('"');
+    for ch in value.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 thread_local! {
@@ -367,7 +374,6 @@ pub fn clear_sink() {
 pub(crate) fn reset() {
     clear_sink();
     NEXT_TRACE_ID.store(1, Ordering::Relaxed);
-    NEXT_BATCH_ID.store(1, Ordering::Relaxed);
 }
 
 /// Hand a finished trace to the sink. The tail-based sampling decision
@@ -429,7 +435,7 @@ pub fn validate_trace_line(line: &str) -> Result<(), String> {
     if need_u64("schema")? != TRACE_SCHEMA_VERSION {
         return Err(format!("unknown schema version (expected {TRACE_SCHEMA_VERSION})"));
     }
-    for name in ["seq", "t_wall_ms", "trace_id", "sensor", "horizon", "shard", "batch_size"] {
+    for name in ["seq", "t_wall_ms", "trace_id", "sensor", "horizon", "shard"] {
         need_u64(name)?;
     }
     if get("t_mono_s").as_f64().is_none() {
@@ -454,9 +460,6 @@ pub fn validate_trace_line(line: &str) -> Result<(), String> {
         }
         None if outcome == "served" => return Err("served trace without a rung".to_string()),
         _ => {}
-    }
-    if outcome == "served" && get("batch_id").as_u64().is_none() {
-        return Err("served trace without a batch_id".to_string());
     }
 
     let events = get("events").as_seq().ok_or("`events` missing or not an array")?;
@@ -503,7 +506,6 @@ mod tests {
         install_memory_sink(TraceConfig::default());
         let mut t = RequestTrace::begin(3, 2, 1);
         t.mark("dequeue");
-        t.set_batch(7, 4);
         t.mark("predict.done");
         t.finish_served("cached_hyper", false);
         let id = t.id();
@@ -513,7 +515,7 @@ mod tests {
         assert_eq!(lines.len(), 1);
         validate_trace_line(&lines[0]).unwrap();
         assert!(lines[0].contains(&format!("\"trace_id\":{id}")));
-        assert!(lines[0].contains("\"batch_id\":7"));
+        assert!(lines[0].contains("\"l\":\"dequeue\""));
         assert!(lines[0].contains("\"rung\":\"cached_hyper\""));
     }
 
@@ -523,12 +525,10 @@ mod tests {
         install_memory_sink(TraceConfig { sample_every: 1_000_000, slow_us: u64::MAX });
         // Healthy fast full-ensemble trace: sampled out (id won't divide).
         let mut healthy = RequestTrace::begin(0, 1, 0);
-        healthy.set_batch(1, 1);
         healthy.finish_served("full_ensemble", false);
         submit(healthy);
         // Degraded trace: always kept.
         let mut degraded = RequestTrace::begin(1, 1, 0);
-        degraded.set_batch(1, 1);
         degraded.finish_served("last_value", false);
         submit(degraded);
         // Shed trace: always kept.
@@ -580,8 +580,10 @@ mod tests {
         submit(t);
         let lines = take_memory_lines();
         clear_sink();
-        // A served trace must carry its batch linkage.
-        assert!(validate_trace_line(&lines[0]).unwrap_err().contains("batch_id"));
+        validate_trace_line(&lines[0]).unwrap();
+        // A record of an earlier schema version is rejected.
+        let old = lines[0].replace("\"schema\":2", "\"schema\":1");
+        assert!(validate_trace_line(&old).unwrap_err().contains("schema"));
     }
 
     #[test]
@@ -591,7 +593,6 @@ mod tests {
             std::env::temp_dir().join(format!("smiler_trace_test_{}.jsonl", std::process::id()));
         install_file_sink(&path, TraceConfig::default()).unwrap();
         let mut t = RequestTrace::begin(0, 1, 0);
-        t.set_batch(1, 1);
         t.finish_served("aggregation", false);
         submit(t);
         clear_sink();

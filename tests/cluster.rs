@@ -322,6 +322,7 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
     // Drive the log through several checkpoints. keep_checkpoints: 1
     // would normally prune everything a checkpoint covers; the pinned
     // cursor must keep every record past seq 5 on disk.
+    let mut received = 5u64;
     for batch in 0..4 {
         {
             let mut store = shared_store.lock();
@@ -330,8 +331,13 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
             }
             store.checkpoint(b"cluster-pinning-test").expect("checkpoint");
         }
-        // Keep draining the stream so the primary never blocks on send.
-        while laggard.recv_timeout(Duration::from_millis(1)).expect("drain").is_some() {}
+        // Keep draining the stream so the primary never blocks on send,
+        // remembering how far the laggard has read.
+        while let Some(msg) = laggard.recv_timeout(Duration::from_millis(1)).expect("drain") {
+            if let ReplMsg::Record { record } = msg {
+                received = received.max(record.seq());
+            }
+        }
     }
     let head = shared_store.lock().last_seq();
     assert_eq!(head, 240);
@@ -342,7 +348,6 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
     // Drain until the laggard has *received* the whole log, then ack the
     // head: the pin lifts and the next checkpoint finally prunes.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut received = 5u64;
     while received < head {
         if let Some(ReplMsg::Record { record }) =
             laggard.recv_timeout(Duration::from_millis(20)).expect("drain to head")

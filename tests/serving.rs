@@ -1,9 +1,8 @@
 //! Integration tests for the sharded serving frontend (`smiler_core::serve`):
-//! micro-batched serving must answer exactly what per-sensor serving
-//! answers while spending strictly fewer simulated GPU launches; a
-//! saturated queue must shed typed errors while everything already
-//! admitted completes; a quarantined sensor must never stall its shard;
-//! and shutdown must drain cleanly.
+//! served forecasts must answer exactly what solo prediction answers, with
+//! exactly the same simulated GPU launches; a saturated queue must shed
+//! typed errors while everything already admitted completes; a quarantined
+//! sensor must never stall its shard; and shutdown must drain cleanly.
 
 use smiler_core::serve::{LoadGen, ServeConfig, ServeError, SmilerServer};
 use smiler_core::{
@@ -43,40 +42,27 @@ fn fleet(device: &Arc<Device>, count: usize) -> Vec<SensorPredictor> {
         .collect()
 }
 
-/// Micro-batched serving answers bitwise what solo prediction answers, and
-/// at ≥ 2 shards the batched run spends strictly fewer simulated GPU
-/// launches than serving the same trace per request.
+/// Served forecasts answer bitwise what solo prediction answers, and the
+/// server adds no device work of its own: the served run spends exactly
+/// the simulated GPU launches of predicting the same sensors directly.
 #[test]
-fn batched_serving_matches_sequential_with_fewer_launches() {
+fn served_forecasts_match_solo_prediction() {
     const SENSORS: usize = 6;
 
-    // Batched run: all requests queued before the batch window closes.
+    // Served run: all requests queued at once across two shards.
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, SENSORS);
     device.reset_clock();
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 64,
-        max_batch: 8,
-        batch_window: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 2, queue_capacity: 64, ..ServeConfig::default() };
     let server = SmilerServer::start(Arc::clone(&device), sensors, config);
     let handle = server.handle();
     let pending: Vec<_> =
         (0..SENSORS).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
     let served: Vec<_> = pending.into_iter().map(|p| p.wait().expect("served")).collect();
     let stats = server.shutdown();
-    let batched_launches = device.kernel_launches();
+    let served_launches = device.kernel_launches();
 
     assert_eq!(stats.served, SENSORS as u64);
-    assert_eq!(stats.batched_forecasts, SENSORS as u64);
-    assert!(
-        stats.batches < stats.batched_forecasts,
-        "requests queued concurrently must coalesce: {} batches for {} forecasts",
-        stats.batches,
-        stats.batched_forecasts
-    );
 
     // Sequential reference: the same fleet served one sensor at a time.
     let solo_device = Arc::new(Device::default_gpu());
@@ -92,10 +78,7 @@ fn batched_serving_matches_sequential_with_fewer_launches() {
         assert!(!got.deadline_missed);
     }
     let solo_launches = solo_device.kernel_launches();
-    assert!(
-        batched_launches < solo_launches,
-        "micro-batching must amortise launches: batched {batched_launches} vs solo {solo_launches}"
-    );
+    assert_eq!(served_launches, solo_launches, "serving must launch exactly what solo does");
 }
 
 /// Saturating a shard's queue sheds requests with a typed `Overloaded`
@@ -105,13 +88,7 @@ fn batched_serving_matches_sequential_with_fewer_launches() {
 fn overload_sheds_typed_errors_while_admitted_requests_complete() {
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 1,
-        queue_capacity: 2,
-        max_batch: 2,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 1, queue_capacity: 2, ..ServeConfig::default() };
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
 
@@ -173,7 +150,7 @@ fn quarantined_sensor_never_stalls_its_shard() {
         Err(ServeError::Fault(SensorFault::Quarantined { .. })) => {}
         other => panic!("expected quarantine on observe, got {other:?}"),
     }
-    // A mixed batch: the quarantined sensor faults, the healthy one serves.
+    // Queued together: the quarantined sensor faults, the healthy one serves.
     let bad = handle.submit_forecast(0, 1, None).expect("admitted");
     let good = handle.submit_forecast(2, 1, None).expect("admitted");
     assert!(matches!(bad.wait(), Err(ServeError::Fault(_))));
@@ -192,12 +169,7 @@ fn shutdown_drains_queued_requests_cleanly() {
     const SENSORS: usize = 6;
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, SENSORS);
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 64,
-        batch_window: Duration::from_millis(50),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 2, queue_capacity: 64, ..ServeConfig::default() };
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
     let pending: Vec<_> =
@@ -265,31 +237,6 @@ fn load_generator_accounts_for_every_request() {
     assert!(report.ok > 0);
     assert!(report.latency_p95_ms >= report.latency_p50_ms);
     assert!(report.latency_max_ms >= report.latency_p99_ms);
-}
-
-/// Regression: a batch window that has already closed by the time the
-/// worker re-checks the clock must not panic (`window_closes - now`
-/// underflow) — a zero-width window is the degenerate worst case, and
-/// requests must still batch and serve through it.
-#[test]
-fn shrunken_batch_window_serves_without_panic() {
-    let device = Arc::new(Device::default_gpu());
-    let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 2,
-        max_batch: 8,
-        batch_window: Duration::ZERO,
-        ..ServeConfig::default()
-    };
-    let server = SmilerServer::start(device, sensors, config);
-    let handle = server.handle();
-    let pending: Vec<_> =
-        (0..4).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
-    for p in pending {
-        p.wait().expect("zero-width batch window must still serve");
-    }
-    let stats = server.shutdown();
-    assert_eq!(stats.served, 4);
 }
 
 /// Chaos feeds served end-to-end with the adaptation layer armed: every
@@ -367,13 +314,7 @@ fn load_spike_on_a_dirty_feed_sheds_typed_and_recovers() {
         config,
         PredictorKind::Aggregation,
     );
-    let serve_config = ServeConfig {
-        shards: 1,
-        queue_capacity: 2,
-        max_batch: 2,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let serve_config = ServeConfig { shards: 1, queue_capacity: 2, ..ServeConfig::default() };
     let server = SmilerServer::start(device, vec![sensor], serve_config);
     let handle = server.handle();
 

@@ -1,11 +1,9 @@
 //! Integration tests for request-level tracing and the fleet status
 //! surface: every admitted request must yield exactly one terminal trace
-//! record (served / shed / faulted) across shards, micro-batching, panics,
-//! and shutdown drain — no drops, no duplicates; tracing must not change
-//! predictions by a single bit; micro-batch members must share the batch
-//! id of their single fleet-search launch; and `status_report` must expose
-//! windowed tail latency, rung mix, SLO burn, and per-sensor model
-//! quality.
+//! record (served / shed / faulted) across shards, panics, and shutdown
+//! drain — no drops, no duplicates; tracing must not change predictions by
+//! a single bit; and `status_report` must expose windowed tail latency,
+//! rung mix, SLO burn, and per-sensor model quality.
 
 use smiler_core::serve::{ServeConfig, ServeError, SmilerServer};
 use smiler_core::{DegradationLevel, FaultKind, PredictorKind, SensorPredictor, SmilerConfig};
@@ -77,13 +75,7 @@ fn every_request_yields_exactly_one_terminal_trace() {
     let device = Arc::new(Device::default_gpu());
     let mut sensors = fleet(&device, 4);
     sensors[1].inject_fault(FaultKind::PanicOnPredict);
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 4,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 2, queue_capacity: 4, ..ServeConfig::default() };
     trace::install_memory_sink(TraceConfig::default());
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
@@ -149,13 +141,7 @@ fn tracing_does_not_change_predictions() {
         }
         let device = Arc::new(Device::default_gpu());
         let sensors = fleet(&device, 3);
-        let config = ServeConfig {
-            shards: 1,
-            queue_capacity: 16,
-            max_batch: 1, // sequential, deterministic serving order
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig { shards: 1, queue_capacity: 16, ..ServeConfig::default() };
         let server = SmilerServer::start(device, sensors, config);
         let handle = server.handle();
         let mut bits = Vec::new();
@@ -179,50 +165,6 @@ fn tracing_does_not_change_predictions() {
     assert_eq!(plain, traced, "tracing must be bitwise invisible to predictions");
 }
 
-/// Requests coalesced into one micro-batch share one batch id — the link
-/// from member traces to their single fleet-search launch — and carry the
-/// batch-search milestones.
-#[test]
-fn batched_members_share_a_batch_id() {
-    let _g = lock_tracing();
-    let device = Arc::new(Device::default_gpu());
-    let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 1,
-        queue_capacity: 16,
-        max_batch: 8,
-        batch_window: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
-    trace::install_memory_sink(TraceConfig::default());
-    let server = SmilerServer::start(device, sensors, config);
-    let handle = server.handle();
-    let pending: Vec<_> =
-        (0..4).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
-    for p in pending {
-        p.wait().expect("served");
-    }
-    server.shutdown();
-    let lines = trace::take_memory_lines();
-    trace::clear_sink();
-
-    assert_eq!(lines.len(), 4);
-    let batch_ids: Vec<u64> = lines
-        .iter()
-        .map(|l| field_u64(l, "batch_id").expect("served trace has batch_id"))
-        .collect();
-    assert!(
-        batch_ids.iter().all(|&id| id == batch_ids[0]),
-        "concurrent requests must coalesce into one batch: {batch_ids:?}"
-    );
-    for line in &lines {
-        validate_trace_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        assert_eq!(field_u64(line, "batch_size"), Some(4));
-        assert!(line.contains("batch_search.start") && line.contains("batch_search.done"));
-        assert!(line.contains("\"l\":\"dequeue\""), "members must carry the dequeue milestone");
-    }
-}
-
 /// The status report exposes windowed tail latency (ordered quantiles),
 /// the per-rung breakdown, SLO burn against the configured target, and
 /// per-sensor rolling model quality fed by observations.
@@ -234,8 +176,6 @@ fn status_report_exposes_windowed_tails_and_quality() {
     let config = ServeConfig {
         shards: 2,
         queue_capacity: 16,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         // A zero-latency target: every served request burns error budget,
         // so the burn rate must read positive.
         slo_target: Duration::ZERO,
